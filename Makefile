@@ -36,7 +36,7 @@ bench:
 # target (a pipe would return tee's status, not go test's).
 BENCH_OUT ?= bench-smoke.txt
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatch|BenchmarkServerModel|BenchmarkPlacement|BenchmarkHandoff|BenchmarkPool|BenchmarkChurn|BenchmarkSteer|BenchmarkWireIO' -benchmem -benchtime 100x . > $(BENCH_OUT) 2>&1; \
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatch|BenchmarkServerModel|BenchmarkPlacement|BenchmarkHandoff|BenchmarkPool|BenchmarkChurn|BenchmarkSteer|BenchmarkWireIO|BenchmarkDoorbell' -benchmem -benchtime 100x . > $(BENCH_OUT) 2>&1; \
 	status=$$?; cat $(BENCH_OUT); exit $$status
 
 # Machine-readable perf trajectory: the BenchmarkPlacement sweep and

@@ -359,6 +359,97 @@ func BenchmarkHandoff(b *testing.B) {
 	b.ReportMetric(b.Elapsed().Seconds()*2.8e9/float64(2*b.N), "cycles/pkt")
 }
 
+// BenchmarkDoorbell prices the two halves of the datapath's idle
+// protocol (exec.Doorbell). roundtrip: one op is a packet bounced
+// through two bell-wired rings between this goroutine and an echo
+// goroutine, each side parking on its bell — arm, re-poll, block —
+// before every packet, so ns/wake (half the op) is what one park→wake
+// costs a consumer that spun out; exec.SpinPolls is sized against it.
+// push/*: one op is a single-goroutine Push+Pop on a ring with no bell
+// and with an attached but unarmed one — the cost every push pays for
+// the protocol while its consumer is busy.
+func BenchmarkDoorbell(b *testing.B) {
+	for _, locked := range []bool{false, true} {
+		name := "roundtrip"
+		if locked {
+			// Both goroutines pinned to their own OS thread: every wake
+			// is a futex wake of another thread, the cost a consumer
+			// parked on an idle P pays.
+			name = "roundtrip/thread"
+		}
+		b.Run(name, func(b *testing.B) { benchDoorbellRoundTrip(b, locked) })
+	}
+	for _, wired := range []bool{false, true} {
+		name := "push/unwired"
+		if wired {
+			name = "push/unarmed"
+		}
+		b.Run(name, func(b *testing.B) {
+			r := exec.NewRing(64)
+			if wired {
+				r.SetBells(exec.NewDoorbell(), exec.NewDoorbell())
+			}
+			p := &pkt.Packet{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Push(p)
+				r.Pop()
+			}
+		})
+	}
+}
+
+// benchDoorbellRoundTrip is BenchmarkDoorbell's ping-pong.
+func benchDoorbellRoundTrip(b *testing.B, locked bool) {
+	ping, pong := exec.NewRing(8), exec.NewRing(8)
+	pingBell, pongBell := exec.NewDoorbell(), exec.NewDoorbell()
+	ping.SetBells(pingBell, nil)
+	pong.SetBells(pongBell, nil)
+	// park blocks until r holds a packet, always through the bell.
+	park := func(r *exec.Ring, bell *exec.Doorbell) *pkt.Packet {
+		for {
+			bell.Arm()
+			if p := r.Pop(); p != nil {
+				bell.Disarm()
+				return p
+			}
+			bell.Wait()
+		}
+	}
+	if locked {
+		runtime.LockOSThread()
+		defer runtime.UnlockOSThread()
+	}
+	p := &pkt.Packet{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if locked {
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+		}
+		for {
+			q := park(ping, pingBell)
+			if q.SeqNo == 1 {
+				return
+			}
+			pong.Push(q)
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ping.Push(p)
+		park(pong, pongBell)
+	}
+	b.StopTimer()
+	ping.Push(&pkt.Packet{SeqNo: 1})
+	<-done
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/wake")
+	b.ReportMetric(float64(pingBell.Parks()+pongBell.Parks())/float64(2*b.N), "parks/wake")
+}
+
 // placementSink terminates a placement-benchmark chain: it counts the
 // delivery and returns the packet to the chain's free ring so the
 // producer can re-inject it — a closed loop with zero steady-state

@@ -185,12 +185,15 @@ type node struct {
 // several cores (every ingress chain plus transit) emit toward the same
 // peer, so pushes serialize on mu: the mutex makes "single producer"
 // true one push at a time while the writer goroutine stays the sole
-// consumer, lock-free.
+// consumer, lock-free. The ring rings bell (the writer's) on push and
+// space (a stalled producer's) when the writer frees room.
 type txQueue struct {
-	mu   sync.Mutex
-	ring *exec.Ring
-	conn *net.UDPConn
-	addr *net.UDPAddr
+	mu    sync.Mutex
+	ring  *exec.Ring
+	bell  *exec.Doorbell
+	space *exec.Doorbell
+	conn  *net.UDPConn
+	addr  *net.UDPAddr
 	// w flushes a popped batch to addr with one sendmmsg where the
 	// platform has it (per-packet WriteToUDP otherwise); its counters
 	// feed the node's wire snapshot.
@@ -199,6 +202,15 @@ type txQueue struct {
 	// detector: the writer recycles queued frames (counted as drained)
 	// instead of blackholing them on the wire. Cleared on rejoin.
 	dead atomic.Bool
+}
+
+// newTxQueue builds an egress queue toward addr, its ring wired to the
+// writer's and the stalled producer's doorbells.
+func newTxQueue(conn *net.UDPConn, addr *net.UDPAddr, w wireConfig) *txQueue {
+	q := &txQueue{ring: exec.NewRing(4096), bell: exec.NewDoorbell(), space: exec.NewDoorbell(),
+		conn: conn, addr: addr, w: netio.NewBatchWriter(conn, w.netio(nil))}
+	q.ring.SetBells(q.bell, q.space)
+	return q
 }
 
 func (q *txQueue) push(p *pkt.Packet) bool {
@@ -212,7 +224,9 @@ func (q *txQueue) push(p *pkt.Packet) bool {
 // whole batch and flushes it through the queue's netio writer — one
 // sendmmsg on the fast path — so the syscall cost of a frame is
 // amortized over the batch instead of stalling a forwarding core per
-// frame. Exits only after a final drain once txStop is set.
+// frame. An idle writer parks on the queue's doorbell until a push
+// rings it (the stop check follows the Idler's arm, so shutdown's ring
+// cannot be missed). Exits only after a final drain once txStop is set.
 func (nd *node) runWriter(q *txQueue) {
 	defer nd.wwg.Done()
 	// Each writer goroutine recycles through its own pool shard: Put
@@ -220,25 +234,19 @@ func (nd *node) runWriter(q *txQueue) {
 	// datapath cores or the other writers.
 	shard := pkt.DefaultPool.Shard(int(poolShardSeq.Add(1)))
 	batch := pkt.NewBatch(64)
-	idle := 0
+	idle := exec.Idler{Bell: q.bell}
 	for {
 		batch.Reset()
 		// PopBatchInto appends only live packets, so Packets() is exactly
 		// the n frames to flush — no nil re-scan.
 		n := q.ring.PopBatchInto(batch, batch.Cap())
+		idle.Polled(n)
 		if n == 0 {
 			if nd.txStop.Load() && q.ring.Len() == 0 {
 				return
 			}
-			idle++
-			if idle > 64 {
-				time.Sleep(50 * time.Microsecond)
-			} else {
-				runtime.Gosched()
-			}
 			continue
 		}
-		idle = 0
 		if q.dead.Load() {
 			// Destination declared dead: recycling beats blackholing —
 			// every in-flight frame shows up in tx_drained instead of
@@ -265,21 +273,34 @@ func (nd *node) runWriter(q *txQueue) {
 // full (the writer is behind a burst) the datapath core waits for
 // space rather than writing inline — an inline write would overtake
 // same-flow frames still queued, manufacturing exactly the reordering
-// this simulator exists to measure. The stall is counted so egress
-// backpressure shows up in -stats-addr. Frames are dropped (recycled,
-// counted as a stall) only when shutdown has already stopped the
-// writers.
+// this simulator exists to measure. The core parks on the queue's
+// space bell, which the writer's next pop rings. A stalled producer
+// holds mu while it waits, so the bell has one waiter at a time; that
+// cannot deadlock, because the writer — the only goroutine that ends
+// the wait — never takes mu, and every other holder only pushes into
+// the same full ring. The stall is counted so egress backpressure shows
+// up in -stats-addr. Frames are dropped (recycled, counted as a stall)
+// only when shutdown has already stopped the writers.
 func (nd *node) enqueue(q *txQueue, p *pkt.Packet) {
 	if q.push(p) {
 		return
 	}
 	nd.txStalls.Add(1)
-	for !q.push(p) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for !q.ring.Push(p) {
+		q.space.Arm()
+		q.ring.WaitSpace()
 		if nd.txStop.Load() {
+			q.space.Disarm()
 			pkt.DefaultPool.Put(p)
 			return
 		}
-		runtime.Gosched()
+		if q.ring.Free() > 0 {
+			q.space.Disarm()
+			continue
+		}
+		q.space.Wait()
 	}
 }
 
@@ -596,8 +617,7 @@ func (nd *node) start() error {
 	// Egress writers first, so the datapath never hits a cold queue.
 	// Each queue gets its own netio batch writer (writers are
 	// single-goroutine by contract, like the queues themselves).
-	nd.sinkq = &txQueue{ring: exec.NewRing(4096), conn: nd.ext, addr: nd.sink,
-		w: netio.NewBatchWriter(nd.ext, nd.wire.netio(nil))}
+	nd.sinkq = newTxQueue(nd.ext, nd.sink, nd.wire)
 	if nd.sink == nil {
 		// No collector configured (a mesh with no sink): egress frames
 		// are recycled and accounted rather than written to a nil addr.
@@ -610,8 +630,7 @@ func (nd *node) start() error {
 		if j == nd.id {
 			continue
 		}
-		nd.txq[j] = &txQueue{ring: exec.NewRing(4096), conn: nd.int_, addr: nd.peers[j],
-			w: netio.NewBatchWriter(nd.int_, nd.wire.netio(nil))}
+		nd.txq[j] = newTxQueue(nd.int_, nd.peers[j], nd.wire)
 		nd.wwg.Add(1)
 		go nd.runWriter(nd.txq[j])
 	}
@@ -667,12 +686,23 @@ func (nd *node) shutdown() {
 	nd.wg.Wait() // readers gone: nothing feeds the datapath
 	nd.ingress.Stop()
 	nd.transit.Stop() // cores halted: nothing feeds the egress queues
-	nd.txStop.Store(true)
-	nd.wwg.Wait() // writers flush what was queued, then exit
+	nd.stopWriters()
 	for _, c := range nd.extQs {
 		c.Close()
 	}
 	nd.int_.Close()
+}
+
+// stopWriters ends egress: parked writers are rung awake for a final
+// drain (and any producer still stalled on a full queue gives up its
+// frame), then the call waits for every writer to exit.
+func (nd *node) stopWriters() {
+	nd.txStop.Store(true)
+	for _, q := range nd.txQueues() {
+		q.bell.Ring()
+		q.space.Ring()
+	}
+	nd.wwg.Wait() // writers flush what was queued, then exit
 }
 
 // reload hot-swaps the node's ingress program. Options inherit from the
@@ -1053,15 +1083,28 @@ func (nd *node) wireSnapshot() *stats.WireSnapshot {
 			w.Mode = "mmsg"
 		}
 	}
-	for _, q := range append([]*txQueue{nd.sinkq}, nd.txq...) {
-		if q == nil || q.w == nil {
-			continue
-		}
+	for _, q := range nd.txQueues() {
 		s := q.w.Stats()
 		w.TxBatches += s.Batches
 		w.TxFrames += s.Frames
+		w.TxParks += q.bell.Parks()
 	}
 	return w
+}
+
+// txQueues lists the node's egress queues (none before start): the
+// collector's, then one per peer.
+func (nd *node) txQueues() []*txQueue {
+	var qs []*txQueue
+	if nd.sinkq != nil {
+		qs = append(qs, nd.sinkq)
+	}
+	for _, q := range nd.txq {
+		if q != nil {
+			qs = append(qs, q)
+		}
+	}
+	return qs
 }
 
 func (nd *node) snapshot() nodeSnapshot {

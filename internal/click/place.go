@@ -173,6 +173,8 @@ type CoreStat struct {
 	handoffs atomic.Uint64 // batches pushed onward to another core
 	steals   atomic.Uint64 // packets this core stole from sibling input rings
 	stolen   atomic.Uint64 // packets siblings stole from this core's input ring
+
+	bell *exec.Doorbell // the core's idle doorbell (parks and wakes)
 }
 
 // Packets reports packets this core pulled from its upstream ring.
@@ -195,6 +197,15 @@ func (s *CoreStat) Steals() uint64 { return s.steals.Load() }
 // Stolen reports packets sibling cores took from this core's input
 // ring. Steals and Stolen balance across a plan's first-stage cores.
 func (s *CoreStat) Stolen() uint64 { return s.stolen.Load() }
+
+// Parks reports how many times the core ran out of work and blocked on
+// its doorbell (0 for plans driven by RunStep instead of Start).
+func (s *CoreStat) Parks() uint64 { return s.bell.Parks() }
+
+// Wakes reports doorbell rings that found the core armed: producers
+// publishing into its upstream ring, a downstream ring freeing room it
+// waited for, a sibling backlog worth stealing, or Stop.
+func (s *CoreStat) Wakes() uint64 { return s.bell.Wakes() }
 
 // Plan is a materialized core allocation: graphs instantiated per
 // chain, rings allocated, tasks bound to schedule cores.
@@ -358,8 +369,20 @@ func NewPlan(cfg PlanConfig) (*Plan, error) {
 	}
 	// Stealing needs a sibling chain to steal from; the flag is resolved
 	// after the chains are built and read by every poll closure at run
-	// time.
+	// time. A push that leaves a steal-worthy backlog on one input ring
+	// rings a parked sibling's first-stage core.
 	p.steal = cfg.Steal && p.chains > 1
+	if p.steal {
+		for ch, r := range p.inputs {
+			var thieves []*exec.Doorbell
+			for sib, core := range p.inputCore {
+				if sib != ch {
+					thieves = append(thieves, p.sched.bells[core])
+				}
+			}
+			r.SetThieves(thieves, p.stealMin)
+		}
+	}
 	p.runner = NewRunner(p.sched)
 	return p, nil
 }
@@ -426,6 +449,10 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 	} else {
 		bounds = chooseBounds(len(in.segs), groups, in.noCut)
 	}
+	// Every ring rings its consumer core's doorbell on push; a handoff
+	// ring also rings its producer core's when a pop frees room the
+	// producer stalled on.
+	input.SetBells(p.sched.bells[cores[0]], nil)
 	upstream := input
 	for g := 0; g < groups; g++ {
 		lo, hi := bounds[g], bounds[g+1]
@@ -435,6 +462,7 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 			// Cut boundary: the group's last trunk element emits into a
 			// handoff ring polled by the next core.
 			downstream = exec.NewRing(cfg.HandoffCap)
+			downstream.SetBells(p.sched.bells[cores[g+1]], p.sched.bells[cores[g]])
 			p.handoffs = append(p.handoffs, downstream)
 			p.handoffChain = append(p.handoffChain, chain)
 			p.handoffFrom = append(p.handoffFrom, cores[g])
@@ -456,12 +484,14 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 		}
 
 		stat := &CoreStat{Core: cores[g], Socket: cfg.Topo.SocketOf(cores[g]),
-			Chain: chain, Stages: strings.Join(in.names[lo:hi], "+")}
+			Chain: chain, Stages: strings.Join(in.names[lo:hi], "+"), bell: p.sched.bells[cores[g]]}
 		p.stats = append(p.stats, stat)
 		if g == 0 {
 			p.inputStat = append(p.inputStat, stat)
 		}
-		p.sched.MustBind(cores[g], p.pollTask(upstream, downstream, in.segs[lo].Entry, cfg.KP, stat, chain, g == 0))
+		if err := p.sched.bindWoken(cores[g], p.pollTask(upstream, downstream, in.segs[lo].Entry, cfg.KP, stat, chain, g == 0)); err != nil {
+			return err
+		}
 		upstream = downstream
 	}
 	return nil
@@ -470,12 +500,15 @@ func (p *Plan) buildChain(cfg PlanConfig, chain int, cores []int, in *Instance) 
 // pollTask builds the polling loop body for one core: pull up to kp
 // packets from upstream — capped by the downstream ring's free space so
 // a full handoff ring backpressures instead of dropping — and push them
-// through the core's stage group as one batch. Each run pins the core's
-// pool shard on the context, so every recycle and allocation inside the
-// dispatched graph runs against core-local freelist state. First-stage
-// cores of a steal-enabled plan consume their input ring through the
-// shared (consumer-locked) protocol and, when it runs dry, drain the
-// deepest sibling backlog instead of reporting an empty poll.
+// through the core's stage group as one batch. A core stalled on a full
+// downstream asks that ring for a space wake (WaitSpace) before its
+// final check, so it can park until the next stage drains. Each run
+// pins the core's pool shard on the context, so every recycle and
+// allocation inside the dispatched graph runs against core-local
+// freelist state. First-stage cores of a steal-enabled plan consume
+// their input ring through the shared (consumer-locked) protocol and,
+// when it runs dry, drain the deepest sibling backlog instead of
+// reporting an empty poll.
 func (p *Plan) pollTask(upstream, downstream *exec.Ring, entry Element, kp int, stat *CoreStat, chain int, firstStage bool) Task {
 	scratch := pkt.NewBatch(kp)
 	dispatch := BatchDispatch(entry, 0)
@@ -488,7 +521,12 @@ func (p *Plan) pollTask(upstream, downstream *exec.Ring, entry Element, kp int, 
 				limit = room
 			}
 			if limit == 0 {
-				return 0 // downstream full: leave packets queued upstream
+				// Downstream full: leave packets queued upstream, and have
+				// the next pop ring this core's bell.
+				downstream.WaitSpace()
+				if limit = min(downstream.Free(), kp); limit == 0 {
+					return 0
+				}
 			}
 		}
 		scratch.Reset()

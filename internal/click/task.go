@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"routebricks/internal/exec"
 )
 
 // Task is a schedulable unit of work — in practice a polling loop step
@@ -24,21 +26,45 @@ func (f TaskFunc) Run(ctx *Context) int { return f(ctx) }
 
 // Schedule statically assigns tasks to cores — the paper's element-to-
 // core allocation (§4.2): threads are pinned, each queue is polled by
-// exactly one core.
+// exactly one core. Each core has a doorbell (exec.Doorbell) its
+// Runner goroutine parks on when idle.
 type Schedule struct {
 	cores [][]Task
+	bells []*exec.Doorbell
+	// timed marks cores with a task bound through Bind: such a task may
+	// poll a source no producer rings the core's bell for, so the
+	// core's park is bounded. Cores whose tasks the planner bound
+	// (bindWoken) are woken only by rings.
+	timed []bool
 }
 
 // NewSchedule creates a schedule for the given core count.
 func NewSchedule(cores int) *Schedule {
-	return &Schedule{cores: make([][]Task, cores)}
+	s := &Schedule{cores: make([][]Task, cores), bells: make([]*exec.Doorbell, cores), timed: make([]bool, cores)}
+	for c := range s.bells {
+		s.bells[c] = exec.NewDoorbell()
+	}
+	return s
 }
 
 // Cores reports the core count.
 func (s *Schedule) Cores() int { return len(s.cores) }
 
-// Bind pins a task to a core.
+// Bind pins a task to a core. Nothing rings the core's doorbell for a
+// task bound this way, so an idle core re-polls it at least every
+// timedPark.
 func (s *Schedule) Bind(core int, t Task) error {
+	if err := s.bindWoken(core, t); err != nil {
+		return err
+	}
+	s.timed[core] = true
+	return nil
+}
+
+// bindWoken pins a task whose every source rings the core's doorbell
+// when it publishes work — the planner's poll tasks, whose rings carry
+// the bell (Plan wires them) — so the idle core parks untimed.
+func (s *Schedule) bindWoken(core int, t Task) error {
 	if core < 0 || core >= len(s.cores) {
 		return fmt.Errorf("click: core %d out of range (0..%d)", core, len(s.cores)-1)
 	}
@@ -69,7 +95,12 @@ func (s *Schedule) RunStep(core int, ctx *Context) int {
 
 // Runner drives a Schedule with one goroutine per core, Click's polling
 // mode on real threads. It is used by the live UDP router (cmd/rbrouter);
-// simulations drive RunStep themselves on virtual time.
+// simulations drive RunStep themselves on virtual time. A core with no
+// work spins for exec.SpinPolls polls — a busy router refills queues
+// within microseconds — then parks on its doorbell until a producer
+// rings it: real Click busy-polls, but it owns the machine; a library
+// must not peg a core that has nothing to do, nor sleep through work
+// that arrived.
 type Runner struct {
 	sched   *Schedule
 	stop    atomic.Bool
@@ -77,11 +108,11 @@ type Runner struct {
 	started atomic.Bool
 
 	// Processed counts packets handled per core; steps counts RunStep
-	// invocations (the idle-backoff test uses it to prove an idle runner
-	// is sleeping, not spinning). Both are written on every loop
-	// iteration, so each core's counter gets its own cache line —
-	// packed atomics here would inject exactly the cross-core coherence
-	// traffic the placement benchmark exists to measure.
+	// invocations (the idle tests use it to prove an idle runner is
+	// parked, not spinning). Both are written on every loop iteration,
+	// so each core's counter gets its own cache line — packed atomics
+	// here would inject exactly the cross-core coherence traffic the
+	// placement benchmark exists to measure.
 	processed []paddedCounter
 	steps     []paddedCounter
 }
@@ -92,16 +123,10 @@ type paddedCounter struct {
 	_ [56]byte
 }
 
-// Idle-backoff escalation: spin briefly (a busy router refills queues
-// within nanoseconds), then yield the P so sibling goroutines run, then
-// sleep outright so a quiescent router costs ~no host CPU. Real Click
-// busy-polls, but it owns the machine; a library must not peg a core
-// that has nothing to do.
-const (
-	idleSpinSteps  = 64
-	idleYieldSteps = 1024
-	idleSleep      = 100 * time.Microsecond
-)
+// timedPark bounds the park of a core with Bind-bound tasks, which no
+// ring wakes: it re-polls them at least this often. Go's netpoller
+// rounds shorter sleeps up to a millisecond anyway.
+const timedPark = time.Millisecond
 
 // NewRunner wraps a schedule.
 func NewRunner(s *Schedule) *Runner {
@@ -123,49 +148,43 @@ func (r *Runner) Start() error {
 	// execution slots for producers to run while this core spins. On an
 	// oversubscribed host (more polling cores than GOMAXPROCS) the spin
 	// quantum is stolen from the very goroutine that would deliver the
-	// work, so skip straight to yielding.
-	spin := idleSpinSteps
-	if runtime.GOMAXPROCS(0) <= r.sched.Cores() {
-		spin = 0
-	}
+	// work, so each spin poll yields instead.
+	yield := runtime.GOMAXPROCS(0) <= r.sched.Cores()
 	for core := 0; core < r.sched.Cores(); core++ {
-		core := core
+		idle := exec.Idler{Bell: r.sched.bells[core], Yield: yield}
+		if r.sched.timed[core] {
+			idle.Timeout = timedPark
+		}
 		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			ctx := &Context{}
-			idle := 0
-			for !r.stop.Load() {
-				n := r.sched.RunStep(core, ctx)
-				ctx.TakeCycles()
-				r.steps[core].n.Add(1)
-				if n > 0 {
-					idle = 0
-					r.processed[core].n.Add(uint64(n))
-					continue
-				}
-				idle++
-				switch {
-				case idle <= spin:
-					// Busy-spin: traffic usually refills within nanoseconds.
-				case idle <= idleYieldSteps:
-					runtime.Gosched()
-				default:
-					// Quiescent: sleep so an idle router releases the CPU.
-					// Capping idle keeps the counter from overflowing on
-					// week-long idle stretches.
-					idle = idleYieldSteps + 1
-					time.Sleep(idleSleep)
-				}
-			}
-		}()
+		go r.loop(core, idle)
 	}
 	return nil
 }
 
-// Stop halts the polling goroutines and waits for them to exit.
+// loop is one core's polling goroutine. The stop check sits between
+// the Idler arming the bell and the armed re-poll, so Stop's ring can
+// never slip past a core about to park.
+func (r *Runner) loop(core int, idle exec.Idler) {
+	defer r.wg.Done()
+	ctx := &Context{}
+	for !r.stop.Load() {
+		n := r.sched.RunStep(core, ctx)
+		ctx.TakeCycles()
+		r.steps[core].n.Add(1)
+		if n > 0 {
+			r.processed[core].n.Add(uint64(n))
+		}
+		idle.Polled(n)
+	}
+}
+
+// Stop halts the polling goroutines, waking parked ones, and waits for
+// them to exit.
 func (r *Runner) Stop() {
 	r.stop.Store(true)
+	for _, b := range r.sched.bells {
+		b.Ring()
+	}
 	r.wg.Wait()
 }
 

@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// TestRunnerIdleBackoff proves an idle Runner sleeps instead of pegging
+// TestRunnerIdleBackoff proves an idle Runner parks instead of pegging
 // a host CPU. Before the fix, the idle branch reset its counter without
 // ever yielding, so one idle core spun RunStep tens of millions of
-// times per second. With spin→yield→sleep escalation, an idle core
-// settles at roughly one step per idleSleep (100µs), so a 300ms idle
-// window must see on the order of thousands of steps, not millions.
+// times per second. A hand-bound task can't ring the core's doorbell,
+// so its idle core spins exec.SpinPolls polls and then re-polls once
+// per timedPark (1ms), so a 300ms idle window must see on the order of
+// hundreds of steps, not millions.
 func TestRunnerIdleBackoff(t *testing.T) {
 	s := NewSchedule(1)
 	s.MustBind(0, TaskFunc(func(*Context) int { return 0 })) // always idle
@@ -24,9 +25,9 @@ func TestRunnerIdleBackoff(t *testing.T) {
 	if steps == 0 {
 		t.Fatal("idle runner never stepped")
 	}
-	// Budget: 64 spins + 960 yields + ~3000 sleeps of 100µs in 300ms,
-	// plus generous scheduler slop. A busy-spinning loop would exceed
-	// this by 3–4 orders of magnitude.
+	// Budget: one spin budget plus two steps (arm, armed re-poll) per
+	// ~1ms timed park, far below this generous bound. A busy-spinning
+	// loop would exceed it by 3–4 orders of magnitude.
 	const maxSteps = 200000
 	if steps > maxSteps {
 		t.Errorf("idle runner took %d steps in 300ms (> %d): backoff is not sleeping", steps, maxSteps)
@@ -34,8 +35,8 @@ func TestRunnerIdleBackoff(t *testing.T) {
 }
 
 // TestRunnerWakesAfterIdle checks the other side of the backoff: a
-// runner that has escalated to sleeping still notices new work within a
-// few sleep periods.
+// runner parked on a task no producer can ring still notices new work
+// within a timed park or two.
 func TestRunnerWakesAfterIdle(t *testing.T) {
 	work := make(chan int, 1)
 	s := NewSchedule(1)
@@ -52,7 +53,7 @@ func TestRunnerWakesAfterIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Stop()
-	time.Sleep(50 * time.Millisecond) // let the backoff escalate to sleep
+	time.Sleep(50 * time.Millisecond) // let the core spin out and park
 	work <- 7
 	deadline := time.Now().Add(5 * time.Second)
 	for r.Processed(0) == 0 {

@@ -32,17 +32,30 @@ import (
 type Ring struct {
 	buf  []*pkt.Packet
 	mask uint64
-	_    [40]byte
+	// Doorbells (see Doorbell), fixed before the ring is shared: bell is
+	// the consumer's, rung after a push publishes packets; space is the
+	// producer's, rung after PopBatchInto frees room the producer
+	// declared it waits for (WaitSpace); thieves are sibling consumers allowed to
+	// steal from this ring, one of which a push rings once at least
+	// stealMin packets are queued.
+	bell     *Doorbell
+	space    *Doorbell
+	thieves  []*Doorbell
+	stealMin uint64
+	_        [48]byte
 	// Producer-owned line: tail is published to the consumer; headCache
 	// is the producer's private snapshot of head.
 	tail      atomic.Uint64
 	headCache uint64
 	_         [48]byte
 	// Consumer-owned line: head is published to the producer; tailCache
-	// is the consumer's private snapshot of tail.
+	// is the consumer's private snapshot of tail. spaceWait is set by a
+	// producer stalled on a full ring and cleared by the pop that rings
+	// it — written rarely, so it shares the consumer's line.
 	head      atomic.Uint64
 	tailCache uint64
-	_         [48]byte
+	spaceWait atomic.Bool
+	_         [40]byte
 	rejected  atomic.Uint64
 
 	// cmu serializes the consumer side for rings that opt into shared
@@ -63,6 +76,65 @@ func NewRing(capacity int) *Ring {
 		c <<= 1
 	}
 	return &Ring{buf: make([]*pkt.Packet, c), mask: uint64(c - 1)}
+}
+
+// SetBells wires the ring into the doorbell protocol: consumer is rung
+// after a push publishes packets, producer after PopBatchInto frees
+// room the producer waits for (WaitSpace). Either may be nil. Call
+// before the ring is shared.
+func (r *Ring) SetBells(consumer, producer *Doorbell) {
+	r.bell, r.space = consumer, producer
+}
+
+// SetThieves names the bells of sibling consumers that may steal from
+// this ring (PopBatchShared): a push that leaves at least min packets
+// queued rings the first of them that is armed. Call before the ring is
+// shared.
+func (r *Ring) SetThieves(bells []*Doorbell, min int) {
+	r.thieves, r.stealMin = bells, uint64(min)
+}
+
+// WaitSpace declares that the producer found the ring full and is about
+// to park on its space bell: the next PopBatchInto rings that bell. The producer
+// must re-check Free after WaitSpace (and after arming) before it
+// parks — the Doorbell ordering argument, with spaceWait standing in
+// for the bell's armed flag. A flag already set is left alone: a
+// producer polling a full ring would otherwise write the consumer's
+// cache line on every poll, and the pop that clears the flag rings the
+// bell anyway. Producer only.
+func (r *Ring) WaitSpace() {
+	if !r.spaceWait.Load() {
+		r.spaceWait.Store(true)
+	}
+}
+
+// published rings whoever waits for the packets a push just made
+// visible by storing tail: the consumer if it is armed (an unarmed
+// consumer costs one atomic load), and in steal plans the first armed
+// thief once at least stealMin packets are queued. Pushes into a ring
+// with no bells skip the call.
+func (r *Ring) published(tail uint64) {
+	if b := r.bell; b != nil && b.armed.Load() {
+		b.ring()
+	}
+	if r.thieves == nil || tail-r.head.Load() < r.stealMin {
+		return
+	}
+	for _, t := range r.thieves {
+		if t.Armed() {
+			t.Ring()
+			return
+		}
+	}
+}
+
+// claimSpace rings the producer's space bell once per WaitSpace: the
+// consumer's half of the space wake, called by PopBatchInto after it
+// publishes head.
+func (r *Ring) claimSpace() {
+	if r.spaceWait.CompareAndSwap(true, false) {
+		r.space.Ring()
+	}
 }
 
 // Cap reports the usable capacity.
@@ -101,6 +173,9 @@ func (r *Ring) Push(p *pkt.Packet) bool {
 	}
 	r.buf[tail&r.mask] = p
 	r.tail.Store(tail + 1)
+	if r.bell != nil || r.thieves != nil {
+		r.published(tail + 1)
+	}
 	return true
 }
 
@@ -132,13 +207,19 @@ func (r *Ring) PushBatch(b *pkt.Batch) int {
 	}
 	if accepted > 0 {
 		r.tail.Store(tail + uint64(accepted))
+		if r.bell != nil || r.thieves != nil {
+			r.published(tail + uint64(accepted))
+		}
 	}
 	b.Compact()
 	return accepted
 }
 
 // Pop removes and returns the oldest packet, or nil when empty. Call
-// only from the consumer goroutine.
+// only from the consumer goroutine. Pop serves teardown drains and
+// tests and stays small enough to inline: it does not ring the space
+// bell, so a consumer whose producer may wait for space (WaitSpace)
+// pops with PopBatchInto.
 func (r *Ring) Pop() *pkt.Packet {
 	head := r.head.Load()
 	if head == r.tailCache {
@@ -177,6 +258,9 @@ func (r *Ring) PopBatchInto(b *pkt.Batch, max int) int {
 	}
 	if n > 0 {
 		r.head.Store(head + n)
+		if r.space != nil && r.spaceWait.Load() {
+			r.claimSpace()
+		}
 	}
 	return int(n)
 }

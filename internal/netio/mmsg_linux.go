@@ -75,6 +75,13 @@ type mmsgRx struct {
 	msgs  []mmsghdr
 	iovs  []syscall.Iovec
 	max   int
+
+	// One call's syscall state, and the method value rc.Read runs: bound
+	// once at construction, so a read allocates no closure.
+	vlen   int
+	n      int
+	operr  syscall.Errno
+	recvFn func(fd uintptr) bool
 }
 
 func newMMsgRx(conn *net.UDPConn, cfg Config) (*mmsgRx, error) {
@@ -94,6 +101,7 @@ func newMMsgRx(conn *net.UDPConn, cfg Config) (*mmsgRx, error) {
 		rx.msgs[i].hdr.Iov = &rx.iovs[i]
 		rx.msgs[i].hdr.Iovlen = 1
 	}
+	rx.recvFn = rx.recv
 	return rx, nil
 }
 
@@ -124,31 +132,14 @@ func (rx *mmsgRx) read(b *pkt.Batch) (int, int, error) {
 		vlen = len(rx.msgs)
 	}
 	rx.post(vlen)
-	var n int
-	var operr syscall.Errno
-	err := rx.rc.Read(func(fd uintptr) bool {
-		for {
-			m, errno := recvmmsg(fd, rx.msgs[:vlen], syscall.MSG_DONTWAIT)
-			switch errno {
-			case 0:
-				n = m
-				return true
-			case syscall.EAGAIN:
-				return false // park on the poller until readable
-			case syscall.EINTR:
-				continue
-			default:
-				operr = errno
-				return true
-			}
-		}
-	})
-	if err != nil {
+	rx.vlen, rx.n, rx.operr = vlen, 0, 0
+	if err := rx.rc.Read(rx.recvFn); err != nil {
 		return 0, 0, err
 	}
-	if operr != 0 {
-		return 0, 0, operr
+	if rx.operr != 0 {
+		return 0, 0, rx.operr
 	}
+	n := rx.n
 	trunc := 0
 	for i := 0; i < n; i++ {
 		p := rx.pkts[i]
@@ -164,6 +155,25 @@ func (rx *mmsgRx) read(b *pkt.Batch) (int, int, error) {
 		b.Add(p)
 	}
 	return n, trunc, nil
+}
+
+// recv is the rc.Read callback: one recvmmsg over the posted slots.
+func (rx *mmsgRx) recv(fd uintptr) bool {
+	for {
+		m, errno := recvmmsg(fd, rx.msgs[:rx.vlen], syscall.MSG_DONTWAIT)
+		switch errno {
+		case 0:
+			rx.n = m
+			return true
+		case syscall.EAGAIN:
+			return false // park on the poller until readable
+		case syscall.EINTR:
+			continue
+		default:
+			rx.operr = errno
+			return true
+		}
+	}
 }
 
 // release puts every still-posted receive buffer back on the pool.
@@ -183,6 +193,12 @@ type mmsgTx struct {
 	msgs []mmsghdr
 	iovs []syscall.Iovec
 	rsas []syscall.RawSockaddrInet4
+
+	// One call's syscall state and its bound rc.Write callback, as in
+	// mmsgRx.
+	k, off int
+	operr  syscall.Errno
+	sendFn func(fd uintptr) bool
 }
 
 func newMMsgTx(conn *net.UDPConn, cfg Config) (*mmsgTx, error) {
@@ -200,6 +216,7 @@ func newMMsgTx(conn *net.UDPConn, cfg Config) (*mmsgTx, error) {
 		tx.msgs[i].hdr.Iov = &tx.iovs[i]
 		tx.msgs[i].hdr.Iovlen = 1
 	}
+	tx.sendFn = tx.send
 	return tx, nil
 }
 
@@ -233,30 +250,31 @@ func (tx *mmsgTx) write(ps []*pkt.Packet, addr *net.UDPAddr, addrs []*net.UDPAdd
 	if k == 0 {
 		return 0, nil
 	}
-	off := 0
-	var operr syscall.Errno
-	err := tx.rc.Write(func(fd uintptr) bool {
-		for off < k {
-			n, errno := sendmmsg(fd, tx.msgs[off:k], syscall.MSG_DONTWAIT)
-			switch errno {
-			case 0:
-				off += n
-			case syscall.EAGAIN:
-				return false // park until writable
-			case syscall.EINTR:
-				continue
-			default:
-				operr = errno
-				return true
-			}
+	tx.k, tx.off, tx.operr = k, 0, 0
+	if err := tx.rc.Write(tx.sendFn); err != nil {
+		return tx.off, err
+	}
+	if tx.operr != 0 {
+		return tx.off, tx.operr
+	}
+	return tx.off, nil
+}
+
+// send is the rc.Write callback: sendmmsg until msgs[off:k] are out.
+func (tx *mmsgTx) send(fd uintptr) bool {
+	for tx.off < tx.k {
+		n, errno := sendmmsg(fd, tx.msgs[tx.off:tx.k], syscall.MSG_DONTWAIT)
+		switch errno {
+		case 0:
+			tx.off += n
+		case syscall.EAGAIN:
+			return false // park until writable
+		case syscall.EINTR:
+			continue
+		default:
+			tx.operr = errno
+			return true
 		}
-		return true
-	})
-	if err != nil {
-		return off, err
 	}
-	if operr != 0 {
-		return off, operr
-	}
-	return off, nil
+	return true
 }

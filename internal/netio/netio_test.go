@@ -304,3 +304,34 @@ func TestReaderDeadlineWake(t *testing.T) {
 		t.Fatalf("deadline wake took %v", elapsed)
 	}
 }
+
+// TestMMsgNoAllocs pins the fast path's steady state at zero heap
+// allocations per syscall: a closure per recvmmsg/sendmmsg call turned
+// every small batch into garbage, which a lightly loaded router (one
+// datagram per syscall) pays per packet.
+func TestMMsgNoAllocs(t *testing.T) {
+	if !Available() {
+		t.Skip("mmsg fast path not available on this platform")
+	}
+	rxConn, txConn := listenLoop(t), listenLoop(t)
+	r := NewBatchReader(rxConn, Config{})
+	defer r.Release()
+	w := NewBatchWriter(txConn, Config{})
+	to := addrOf(rxConn)
+	out := []*pkt.Packet{pkt.DefaultPool.Get(64)}
+	batch := pkt.NewBatch(1)
+	rxConn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	allocs := testing.AllocsPerRun(200, func() {
+		if n, err := w.WriteBatch(out, to); err != nil || n != 1 {
+			t.Fatalf("WriteBatch = %d, %v", n, err)
+		}
+		batch.Reset()
+		if n, err := r.ReadBatch(batch); err != nil || n != 1 {
+			t.Fatalf("ReadBatch = %d, %v", n, err)
+		}
+		pkt.DefaultPool.Put(batch.Packets()[0])
+	})
+	if allocs != 0 {
+		t.Fatalf("one-datagram write+read allocates %.1f times, want 0", allocs)
+	}
+}

@@ -34,7 +34,9 @@ type NodeStats struct {
 // fields come from each node's Ingress.Wire snapshot (internal/netio
 // counters): they prove the mesh's sockets actually ran batched — mean
 // fill is WireRxFrames/WireRxBatches — and which syscall path carried
-// the traffic.
+// the traffic. CoreParks/CoreWakes sum the ingress cores' doorbell
+// counters and WireTxParks the egress writers' parks: an idle-capable
+// datapath parks instead of polling.
 type NodeTotals struct {
 	TransitPackets uint64 `json:"transit_packets"`
 	Forwarded      uint64 `json:"forwarded"`
@@ -50,6 +52,10 @@ type NodeTotals struct {
 	WireRxFrames  uint64 `json:"wire_rx_frames,omitempty"`
 	WireTxBatches uint64 `json:"wire_tx_batches,omitempty"`
 	WireTxFrames  uint64 `json:"wire_tx_frames,omitempty"`
+	WireTxParks   uint64 `json:"wire_tx_parks,omitempty"`
+
+	CoreParks uint64 `json:"core_parks,omitempty"`
+	CoreWakes uint64 `json:"core_wakes,omitempty"`
 }
 
 // SumNodes folds per-node stats into cluster totals.
@@ -70,6 +76,11 @@ func SumNodes(nodes []NodeStats) NodeTotals {
 			t.WireRxFrames += w.RxFrames
 			t.WireTxBatches += w.TxBatches
 			t.WireTxFrames += w.TxFrames
+			t.WireTxParks += w.TxParks
+		}
+		for _, c := range n.Ingress.CoreStats {
+			t.CoreParks += c.Parks
+			t.CoreWakes += c.Wakes
 		}
 	}
 	return t

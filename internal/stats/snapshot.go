@@ -25,6 +25,11 @@ type CoreSnapshot struct {
 	// Both stay 0 unless the plan enables work stealing.
 	Steals uint64 `json:"steals,omitempty"`
 	Stolen uint64 `json:"stolen,omitempty"`
+	// Parks counts the times the core ran out of work and blocked on its
+	// doorbell; Wakes counts doorbell rings that found it armed. A busy
+	// core parks rarely; a mostly idle one parks about once per burst.
+	Parks uint64 `json:"parks"`
+	Wakes uint64 `json:"wakes"`
 }
 
 // PoolSnapshot is the packet pool's freelist health: how many shards it
@@ -79,7 +84,9 @@ type RSSSnapshot struct {
 // datagrams they moved — RxFrames/RxBatches and TxFrames/TxBatches are
 // the mean syscall fill, the number batching exists to raise above 1.
 // RxTruncated counts received datagrams clipped to the configured
-// maximum (detectable on the mmsg path only).
+// maximum (detectable on the mmsg path only). TxParks counts the times
+// an egress writer found its queue empty and parked on the queue's
+// doorbell.
 type WireSnapshot struct {
 	Mode        string `json:"mode"`
 	RxBatches   uint64 `json:"rx_batches"`
@@ -87,6 +94,7 @@ type WireSnapshot struct {
 	RxTruncated uint64 `json:"rx_truncated,omitempty"`
 	TxBatches   uint64 `json:"tx_batches"`
 	TxFrames    uint64 `json:"tx_frames"`
+	TxParks     uint64 `json:"tx_parks"`
 }
 
 // ElementSnapshot carries one graph element's exported counters
@@ -218,6 +226,8 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 			out.CoreStats[i].Handoffs = sub(out.CoreStats[i].Handoffs, p.Handoffs)
 			out.CoreStats[i].Steals = sub(out.CoreStats[i].Steals, p.Steals)
 			out.CoreStats[i].Stolen = sub(out.CoreStats[i].Stolen, p.Stolen)
+			out.CoreStats[i].Parks = sub(out.CoreStats[i].Parks, p.Parks)
+			out.CoreStats[i].Wakes = sub(out.CoreStats[i].Wakes, p.Wakes)
 		}
 	}
 
@@ -250,6 +260,7 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 		w.RxTruncated = sub(s.Wire.RxTruncated, prev.Wire.RxTruncated)
 		w.TxBatches = sub(s.Wire.TxBatches, prev.Wire.TxBatches)
 		w.TxFrames = sub(s.Wire.TxFrames, prev.Wire.TxFrames)
+		w.TxParks = sub(s.Wire.TxParks, prev.Wire.TxParks)
 		out.Wire = &w
 	}
 

@@ -154,3 +154,28 @@ func TestSnapshotDeltaSaturates(t *testing.T) {
 		t.Errorf("backward counters must clamp to 0: %+v", d)
 	}
 }
+
+// TestDoorbellCounters checks the idle-protocol counters end to end
+// through the schema: per-core parks/wakes and writer parks are
+// monotonic (Delta subtracts them) and SumNodes folds them into the
+// cluster totals.
+func TestDoorbellCounters(t *testing.T) {
+	snap := func(parks, wakes, txParks uint64) Snapshot {
+		s := sampleSnapshot(4, 1000, 10)
+		s.CoreStats[0].Parks, s.CoreStats[0].Wakes = parks, wakes
+		s.CoreStats[1].Parks, s.CoreStats[1].Wakes = 2*parks, 2*wakes
+		s.Wire = &WireSnapshot{Mode: "mmsg", TxParks: txParks}
+		return s
+	}
+	d := snap(30, 31, 50).Delta(snap(10, 10, 20))
+	if c := d.CoreStats; c[0].Parks != 20 || c[0].Wakes != 21 || c[1].Parks != 40 || c[1].Wakes != 42 {
+		t.Errorf("core doorbell deltas wrong: %+v", c)
+	}
+	if d.Wire.TxParks != 30 {
+		t.Errorf("writer parks delta = %d, want 30", d.Wire.TxParks)
+	}
+	tot := SumNodes([]NodeStats{{Ingress: snap(1, 2, 3)}, {Ingress: snap(10, 20, 30)}, {ID: 2}})
+	if tot.CoreParks != 33 || tot.CoreWakes != 66 || tot.WireTxParks != 33 {
+		t.Errorf("doorbell totals wrong: %+v", tot)
+	}
+}

@@ -42,6 +42,9 @@ type clusterView struct {
 		WireRxFrames  uint64 `json:"wire_rx_frames"`
 		WireTxBatches uint64 `json:"wire_tx_batches"`
 		WireTxFrames  uint64 `json:"wire_tx_frames"`
+		WireTxParks   uint64 `json:"wire_tx_parks"`
+		CoreParks     uint64 `json:"core_parks"`
+		CoreWakes     uint64 `json:"core_wakes"`
 	} `json:"totals"`
 	Collector struct {
 		Received uint64            `json:"received"`
@@ -176,6 +179,15 @@ func run() error {
 	fmt.Printf("meshsmoke: wire I/O live — rx %d frames / %d batches (fill %.1f), tx %d frames / %d batches (fill %.1f)\n",
 		t.WireRxFrames, t.WireRxBatches, float64(t.WireRxFrames)/float64(t.WireRxBatches),
 		t.WireTxFrames, t.WireTxBatches, float64(t.WireTxFrames)/float64(t.WireTxBatches))
+	// Between injection bursts the datapath has nothing to do: ingress
+	// cores and egress writers must have parked on their doorbells and
+	// been rung awake, not polled through the gaps.
+	if t.CoreParks == 0 || t.CoreWakes == 0 || t.WireTxParks == 0 {
+		return fmt.Errorf("phase 1: doorbell counters not live (core parks %d, wakes %d; writer parks %d)",
+			t.CoreParks, t.CoreWakes, t.WireTxParks)
+	}
+	fmt.Printf("meshsmoke: doorbells live — cores parked %d / woken %d, writers parked %d\n",
+		t.CoreParks, t.CoreWakes, t.WireTxParks)
 
 	// Phase 2: kill one member; survivors must declare it dead and
 	// re-stripe (converged == every survivor's view matches reality).

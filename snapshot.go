@@ -70,6 +70,8 @@ func (p *Pipeline) Snapshot() Snapshot {
 			Handoffs: cs.Handoffs(),
 			Steals:   cs.Steals(),
 			Stolen:   cs.Stolen(),
+			Parks:    cs.Parks(),
+			Wakes:    cs.Wakes(),
 		})
 	}
 	s.Imbalance = s.ImbalanceRatio()
